@@ -35,12 +35,17 @@ lint:
 lint-baseline:
 	$(GO) run ./cmd/harmlesslint -write-baseline lint-baseline.json ./...
 
-# ~10s per openflow fuzz target (keep in sync with the lint job in
-# .github/workflows/ci.yml): catches wire decoders that panic on
-# near-valid frames as soon as a new codec lands.
+# ~10s per openflow and pkt fuzz target (keep in sync with the lint
+# job in .github/workflows/ci.yml): catches wire decoders that panic on
+# near-valid frames, and in-place VLAN ops that disagree with their
+# copying reference, as soon as they land.
+FUZZ_PKGS := ./internal/openflow ./internal/pkt
+
 fuzz-smoke:
-	@for target in $$($(GO) test -list 'Fuzz.*' ./internal/openflow | grep '^Fuzz'); do \
-		$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime 10s ./internal/openflow || exit 1; \
+	@for pkg in $(FUZZ_PKGS); do \
+		for target in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
+			$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime 10s $$pkg || exit 1; \
+		done; \
 	done
 
 test:

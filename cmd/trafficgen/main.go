@@ -255,17 +255,20 @@ func measureHARMLESS(size int, d time.Duration, specialize bool, batch, workers 
 		fatal("frame: %v", err)
 	}
 	h1 := dep.Hosts[1]
-	// Distinct buffers per batch slot: frames of one vector must not
-	// alias (ownership of each transfers to the chain). Resending the
-	// same buffers across iterations is fine for this chain — like the
-	// E2 bench, the legacy switch re-tags a copy, never the original.
+	// Distinct send buffers per batch slot: frames of one vector must
+	// not alias. Each send hands its buffers over to the chain, which
+	// may rewrite them in place, so every send refills them from the
+	// template frame first.
 	vec := make([][]byte, batch)
 	for i := range vec {
-		vec[i] = append([]byte{}, frame...)
+		vec[i] = make([]byte, len(frame))
 	}
 	send := func() {
+		for _, f := range vec {
+			copy(f, frame)
+		}
 		if batch == 1 {
-			h1.SendRaw(frame)
+			h1.SendRaw(vec[0])
 			return
 		}
 		h1.SendRawBatch(vec)

@@ -15,8 +15,9 @@
 //   - any function annotated //harmless:hotpath is checked;
 //   - the known zero-alloc entry points (Required below: the microflow
 //     cache probe/lookup, the ReceiveBatch dispatch, ObserveBatch, the
-//     Ring/TypedRing push/pop) MUST carry the annotation, so nobody
-//     quietly drops a hot path out of enforcement.
+//     Ring/TypedRing push/pop, the legacy bridge and netem delivery,
+//     the VLAN push/pop) MUST carry the annotation, so nobody quietly
+//     drops a hot path out of enforcement.
 //
 // A cold branch inside a hot function — the megaflow install path on a
 // cache miss, say — is excused line by line with
@@ -69,6 +70,17 @@ var Required = map[string][]string{
 	},
 	"github.com/harmless-sdn/harmless/internal/migrate": {
 		"Executor.checkConservation",
+	},
+	"github.com/harmless-sdn/harmless/internal/legacy": {
+		"Switch.receive",
+	},
+	"github.com/harmless-sdn/harmless/internal/netem": {
+		"Port.deliver",
+		"Port.deliverBatch",
+	},
+	"github.com/harmless-sdn/harmless/internal/pkt": {
+		"PushVLAN",
+		"PopVLAN",
 	},
 	"hotpathalloc/required": {
 		"mustBeHot",

@@ -73,28 +73,10 @@ func NewFDB(aging time.Duration, max int, clock netem.Clock) *FDB {
 // are never displaced by learning. Learning a full table is a no-op
 // (as in hardware, where the entry simply isn't installed).
 func (f *FDB) Learn(vlan uint16, mac pkt.MAC, port int) {
-	if !mac.IsUnicast() {
-		return // never learn multicast/broadcast sources
-	}
 	now := f.clock.Now()
-	k := fdbKey{vlan, mac}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if e, ok := f.entries[k]; ok {
-		if e.Static {
-			return
-		}
-		e.Port = port
-		e.LastSeen = now
-		return
-	}
-	if f.max > 0 && len(f.entries) >= f.max {
-		// Opportunistically evict one expired entry to make room.
-		if !f.evictExpiredLocked(now) {
-			return
-		}
-	}
-	f.entries[k] = &FDBEntry{VLAN: vlan, MAC: mac, Port: port, LastSeen: now}
+	f.learnLocked(now, vlan, mac, port)
 }
 
 // AddStatic installs a permanent entry (management plane operation).
@@ -112,12 +94,49 @@ func (f *FDB) Lookup(vlan uint16, mac pkt.MAC) (port int, ok bool) {
 	now := f.clock.Now()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	e, ok := f.entries[fdbKey{vlan, mac}]
+	return f.lookupLocked(now, vlan, mac)
+}
+
+// learnLookup is the bridge's per-frame step: Learn(vlan, src, in)
+// then Lookup(vlan, dst), under one lock and one clock read.
+func (f *FDB) learnLookup(vlan uint16, src pkt.MAC, in int, dst pkt.MAC) (port int, ok bool) {
+	now := f.clock.Now()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.learnLocked(now, vlan, src, in)
+	return f.lookupLocked(now, vlan, dst)
+}
+
+func (f *FDB) learnLocked(now time.Time, vlan uint16, mac pkt.MAC, port int) {
+	if !mac.IsUnicast() {
+		return // never learn multicast/broadcast sources
+	}
+	k := fdbKey{vlan, mac}
+	if e, ok := f.entries[k]; ok {
+		if e.Static {
+			return
+		}
+		e.Port = port
+		e.LastSeen = now
+		return
+	}
+	if f.max > 0 && len(f.entries) >= f.max {
+		// Opportunistically evict one expired entry to make room.
+		if !f.evictExpiredLocked(now) {
+			return
+		}
+	}
+	f.entries[k] = &FDBEntry{VLAN: vlan, MAC: mac, Port: port, LastSeen: now}
+}
+
+func (f *FDB) lookupLocked(now time.Time, vlan uint16, mac pkt.MAC) (port int, ok bool) {
+	k := fdbKey{vlan, mac}
+	e, ok := f.entries[k]
 	if !ok {
 		return 0, false
 	}
 	if !e.Static && now.Sub(e.LastSeen) > f.aging {
-		delete(f.entries, fdbKey{vlan, mac})
+		delete(f.entries, k)
 		return 0, false
 	}
 	return e.Port, true

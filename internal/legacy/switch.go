@@ -22,13 +22,15 @@ import (
 type Switch struct {
 	mu    sync.Mutex
 	cfg   *Config
-	ports map[int]*netem.Port
+	ports []*netem.Port // indexed by port number; [0] unused
 	fdb   *FDB
 	clock netem.Clock
 
 	// per-port dataplane counters, separate from the netem link
-	// counters so the SNMP ifTable can expose switch-side numbers
-	counters map[int]*stats.PortCounters
+	// counters so the SNMP ifTable can expose switch-side numbers.
+	// Indexed by port number and fixed at construction; the counters
+	// are atomic, so the dataplane updates them without s.mu.
+	counters []stats.PortCounters
 
 	bootTime time.Time
 	model    string
@@ -54,8 +56,8 @@ func WithModel(m string) Option { return func(s *Switch) { s.model = m } }
 func NewSwitch(hostname string, n int, opts ...Option) *Switch {
 	s := &Switch{
 		cfg:      NewDefaultConfig(hostname, n),
-		ports:    make(map[int]*netem.Port, n),
-		counters: make(map[int]*stats.PortCounters, n),
+		ports:    make([]*netem.Port, n+1),
+		counters: make([]stats.PortCounters, n+1),
 		clock:    netem.RealClock{},
 		model:    "LGS-2400 Series L2 Switch",
 	}
@@ -66,9 +68,6 @@ func NewSwitch(hostname string, n int, opts ...Option) *Switch {
 		s.fdb = NewFDB(0, 0, s.clock)
 	}
 	s.bootTime = s.clock.Now()
-	for i := 1; i <= n; i++ {
-		s.counters[i] = &stats.PortCounters{}
-	}
 	return s
 }
 
@@ -86,15 +85,18 @@ func (s *Switch) AttachPort(n int, p *netem.Port) {
 	p.SetReceiver(func(frame []byte) { s.receive(n, frame) })
 }
 
+// maxStackEgress sizes the per-frame egress target array: a flood set
+// up to this many ports costs no allocation, a wider one spills to
+// the heap.
+const maxStackEgress = 16
+
 // receive implements the bridge forwarding process for a frame
 // arriving on port in.
+//
+//harmless:hotpath
 func (s *Switch) receive(in int, frame []byte) {
 	if len(frame) < pkt.EthernetHeaderLen {
-		s.mu.Lock()
-		if c := s.counters[in]; c != nil {
-			c.RxErrors.Inc()
-		}
-		s.mu.Unlock()
+		s.counters[in].RxErrors.Inc()
 		return
 	}
 
@@ -136,110 +138,89 @@ func (s *Switch) receive(in int, frame []byte) {
 		}
 	}
 
-	// Learning.
+	// Learning and lookup, one FDB pass.
 	var src, dst pkt.MAC
 	copy(dst[:], frame[0:6])
 	copy(src[:], frame[6:12])
-	s.fdb.Learn(vlan, src, in)
+	p, known := s.fdb.learnLookup(vlan, src, in, dst)
 
 	// Forwarding decision: either a single known port or a flood set.
-	var out []egressTarget
-	if dst.IsUnicast() {
-		if p, ok := s.fdb.Lookup(vlan, dst); ok {
-			// Known address on the ingress port itself: filter (drop).
-			if p != in {
-				if epc, ok := s.cfg.Ports[p]; ok && !epc.Shutdown && epc.allows(vlan) {
-					if np := s.ports[p]; np != nil {
-						out = append(out, egressTarget{p, np, epc})
-					}
-				}
-			}
-		} else {
-			out = s.floodSetLocked(in, vlan)
-		}
-	} else {
-		out = s.floodSetLocked(in, vlan)
+	var buf [maxStackEgress]egressTarget
+	out := buf[:0]
+	switch {
+	case !dst.IsUnicast() || !known:
+		out = s.floodSetLocked(out, in, vlan)
+	case p != in: // a known address on the ingress port itself is filtered
+		out = s.egressLocked(out, p, vlan)
 	}
 	s.mu.Unlock()
 
-	// Transmit outside the lock. Each egress gets its own copy only
-	// when needed (retag); the last recipient can take ownership.
-	for _, e := range out {
-		txFrame := s.egressFrame(frame, vlan, e.pc)
-		if txFrame == nil {
+	// Transmit outside the lock. Every target but the last gets its own
+	// copy of the still-untouched ingress frame (flood replicas); the
+	// last takes the ingress frame itself and is retagged in place.
+	for i, e := range out {
+		f := frame
+		if i < len(out)-1 {
+			f = make([]byte, len(frame), len(frame)+pkt.Dot1QHeaderLen) //harmless:allow-alloc flood replica, with room for a tag
+			copy(f, frame)
+		}
+		if f = egressFrame(f, vlan, e.tagged); f == nil {
 			continue
 		}
-		s.countTx(e.port, len(txFrame))
-		_ = e.np.Send(txFrame)
+		s.counters[e.port].RecordTx(len(f))
+		_ = e.np.Send(f)
 	}
 }
 
-// egressTarget is one (port, link, config) tuple in a forwarding
-// decision.
+// egressTarget is one port of a forwarding decision, resolved under
+// s.mu so transmission needs no configuration.
 type egressTarget struct {
-	port int
-	np   *netem.Port
-	pc   *PortConfig
+	port   int
+	np     *netem.Port
+	tagged bool // the port sends the frame's VLAN tagged
 }
 
-// floodSetLocked computes the flood set for vlan excluding the ingress
-// port. Caller holds s.mu.
-func (s *Switch) floodSetLocked(in int, vlan uint16) []egressTarget {
-	var out []egressTarget
-	for p, epc := range s.cfg.Ports {
-		if p == in || epc.Shutdown || !epc.allows(vlan) {
-			continue
+// egressLocked appends port p to out if it forwards vlan. Caller holds
+// s.mu.
+func (s *Switch) egressLocked(out []egressTarget, p int, vlan uint16) []egressTarget {
+	epc, ok := s.cfg.Ports[p]
+	if !ok || epc.Shutdown || !epc.allows(vlan) || s.ports[p] == nil {
+		return out
+	}
+	// Access ports and the trunk native VLAN send untagged, trunks
+	// send tagged.
+	return append(out, egressTarget{p, s.ports[p], epc.Mode == ModeTrunk && vlan != epc.PVID})
+}
+
+// floodSetLocked appends the flood set for vlan, excluding the
+// ingress port, to out in port order. Caller holds s.mu.
+func (s *Switch) floodSetLocked(out []egressTarget, in int, vlan uint16) []egressTarget {
+	for p := 1; p < len(s.ports); p++ {
+		if p != in {
+			out = s.egressLocked(out, p, vlan)
 		}
-		np := s.ports[p]
-		if np == nil {
-			continue
-		}
-		out = append(out, egressTarget{p, np, epc})
 	}
 	return out
 }
 
-// egressFrame produces the frame to transmit on a port with config pc
-// for traffic in vlan: access ports and the trunk native VLAN send
-// untagged, trunks send tagged. A fresh slice is returned whenever the
-// frame must differ from the ingress frame.
-func (s *Switch) egressFrame(frame []byte, vlan uint16, pc *PortConfig) []byte {
+// egressFrame tags, untags or retags frame in place for a port that
+// sends vlan tagged or not, and returns it (nil if the frame is
+// malformed).
+func egressFrame(frame []byte, vlan uint16, wantTagged bool) []byte {
 	_, tagged := pkt.VLANID(frame)
-	wantTagged := pc.Mode == ModeTrunk && vlan != pc.PVID
+	var err error
 	switch {
 	case tagged && wantTagged:
-		// Copy so parallel egress ports don't share mutable bytes.
-		out := make([]byte, len(frame))
-		copy(out, frame)
-		if err := pkt.SetVLANID(out, vlan); err != nil {
-			return nil
-		}
-		return out
-	case tagged && !wantTagged:
-		out, err := pkt.PopVLAN(frame)
-		if err != nil {
-			return nil
-		}
-		return out
-	case !tagged && wantTagged:
-		out, err := pkt.PushVLAN(frame, pkt.EtherTypeDot1Q, vlan)
-		if err != nil {
-			return nil
-		}
-		return out
-	default:
-		out := make([]byte, len(frame))
-		copy(out, frame)
-		return out
+		err = pkt.SetVLANID(frame, vlan)
+	case tagged:
+		frame, err = pkt.PopVLAN(frame)
+	case wantTagged:
+		frame, err = pkt.PushVLAN(frame, pkt.EtherTypeDot1Q, vlan)
 	}
-}
-
-func (s *Switch) countTx(port, n int) {
-	s.mu.Lock()
-	if c := s.counters[port]; c != nil {
-		c.RecordTx(n)
+	if err != nil {
+		return nil
 	}
-	s.mu.Unlock()
+	return frame
 }
 
 // --- Management API ------------------------------------------------
@@ -374,16 +355,17 @@ func (s *Switch) SetPortShutdown(n int, down bool) error {
 // PortCounters returns the dataplane counters of port n (nil if the
 // port does not exist).
 func (s *Switch) PortCounters(n int) *stats.PortCounters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters[n]
+	if n < 1 || n >= len(s.counters) {
+		return nil
+	}
+	return &s.counters[n]
 }
 
 // PortAttached reports whether a link is attached to port n.
 func (s *Switch) PortAttached(n int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ports[n] != nil
+	return n >= 1 && n < len(s.ports) && s.ports[n] != nil
 }
 
 // FDB exposes the forwarding database for the management planes.

@@ -512,9 +512,11 @@ func BenchmarkLegacySwitchKnownUnicast(b *testing.B) {
 	_ = links[1].B().Send(fa)
 	_ = links[2].B().Send(fb)
 	frame := ethFrame(b, macA, macB, "payload-bench")
+	buf := make([]byte, len(frame)) // refilled per send: Send hands it over
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = links[1].B().Send(frame)
+		copy(buf, frame)
+		_ = links[1].B().Send(buf)
 	}
 }

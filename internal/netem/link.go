@@ -65,6 +65,12 @@ type LinkConfig struct {
 	Name string
 }
 
+// receivers is the pair of functions a device attached to a Port.
+type receivers struct {
+	frame Receiver
+	batch BatchReceiver
+}
+
 // Link is a full-duplex point-to-point link with two Ports.
 type Link struct {
 	cfg   LinkConfig
@@ -86,9 +92,11 @@ type Port struct {
 	name     string
 	counters stats.PortCounters
 
-	recvMu        sync.RWMutex
-	receiver      Receiver
-	batchReceiver BatchReceiver
+	// recv is the attached device's receivers, published as one
+	// immutable value so delivery reads it without a lock; recvMu
+	// serializes the writers.
+	recv   atomic.Pointer[receivers]
+	recvMu sync.Mutex
 
 	// async state (nil in sync and virtual modes)
 	queue chan []byte
@@ -116,6 +124,8 @@ func NewLink(cfg LinkConfig) *Link {
 	l.a = &Port{link: l, name: cfg.Name + "/A"}
 	l.b = &Port{link: l, name: cfg.Name + "/B"}
 	l.a.peer, l.b.peer = l.b, l.a
+	l.a.recv.Store(&receivers{})
+	l.b.recv.Store(&receivers{})
 	switch {
 	case cfg.Async && cfg.Scheduler != nil:
 		l.sched = cfg.Scheduler // virtual time: no pumps, no queues
@@ -236,8 +246,7 @@ func (p *Port) Counters() *stats.PortCounters { return &p.counters }
 // with SetBatchReceiver afterwards, as AttachNetPort does).
 func (p *Port) SetReceiver(r Receiver) {
 	p.recvMu.Lock()
-	p.receiver = r
-	p.batchReceiver = nil
+	p.recv.Store(&receivers{frame: r})
 	p.recvMu.Unlock()
 }
 
@@ -248,7 +257,9 @@ func (p *Port) SetReceiver(r Receiver) {
 // it again.
 func (p *Port) SetBatchReceiver(r BatchReceiver) {
 	p.recvMu.Lock()
-	p.batchReceiver = r
+	rs := *p.recv.Load()
+	rs.batch = r
+	p.recv.Store(&rs)
 	p.recvMu.Unlock()
 }
 
@@ -259,8 +270,7 @@ func (p *Port) SetBatchReceiver(r BatchReceiver) {
 // the wrapper would blind the tap.
 func (p *Port) WrapReceiver(wrap func(Receiver) Receiver) {
 	p.recvMu.Lock()
-	p.receiver = wrap(p.receiver)
-	p.batchReceiver = nil
+	p.recv.Store(&receivers{frame: wrap(p.recv.Load().frame)})
 	p.recvMu.Unlock()
 }
 
@@ -342,11 +352,12 @@ func (p *Port) SendBatch(frames [][]byte) error {
 	return nil
 }
 
+// deliver hands one frame to the attached device's receiver.
+//
+//harmless:hotpath
 func (p *Port) deliver(frame []byte) {
 	p.counters.RecordRx(len(frame))
-	p.recvMu.RLock()
-	r := p.receiver
-	p.recvMu.RUnlock()
+	r := p.recv.Load().frame
 	if r == nil {
 		p.counters.RxDropped.Inc()
 		return
@@ -356,6 +367,8 @@ func (p *Port) deliver(frame []byte) {
 
 // deliverBatch hands a frame vector to the attached device: to its
 // batch receiver when one is installed, frame by frame otherwise.
+//
+//harmless:hotpath
 func (p *Port) deliverBatch(frames [][]byte) {
 	var bytes uint64
 	for _, f := range frames {
@@ -363,20 +376,17 @@ func (p *Port) deliverBatch(frames [][]byte) {
 	}
 	p.counters.RxPackets.Add(uint64(len(frames)))
 	p.counters.RxBytes.Add(bytes)
-	p.recvMu.RLock()
-	br := p.batchReceiver
-	r := p.receiver
-	p.recvMu.RUnlock()
-	if br != nil {
-		br(frames)
+	rs := p.recv.Load()
+	if rs.batch != nil {
+		rs.batch(frames)
 		return
 	}
-	if r == nil {
+	if rs.frame == nil {
 		p.counters.RxDropped.Add(uint64(len(frames)))
 		return
 	}
 	for _, f := range frames {
-		r(f)
+		rs.frame(f)
 	}
 }
 

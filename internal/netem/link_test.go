@@ -237,3 +237,45 @@ func BenchmarkSyncLinkSend(b *testing.B) {
 		}
 	}
 }
+
+// TestReceiverSwapDuringDelivery replaces a port's receivers while
+// frames are delivered to it: delivery reads the published receiver
+// pair without a lock, so every frame must reach exactly one receiver
+// and none may be dropped. Meant for -race.
+func TestReceiverSwapDuringDelivery(t *testing.T) {
+	l := NewLink(LinkConfig{})
+	defer l.Close()
+	var got atomic.Int64
+	rx := func([]byte) { got.Add(1) }
+	brx := func(fs [][]byte) { got.Add(int64(len(fs))) }
+	wrap := func(next Receiver) Receiver { return func(f []byte) { next(f) } }
+	l.B().SetReceiver(rx)
+	n := 2000
+	if testing.Short() {
+		n = 200
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			_ = l.A().Send([]byte{byte(i)})
+			_ = l.A().SendBatch([][]byte{{1}, {2}})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			l.B().SetReceiver(rx)
+			l.B().SetBatchReceiver(brx)
+			l.B().WrapReceiver(wrap)
+		}
+	}()
+	wg.Wait()
+	if got.Load() != int64(3*n) {
+		t.Errorf("receivers saw %d frames, want %d", got.Load(), 3*n)
+	}
+	if d := l.B().Counters().RxDropped.Load(); d != 0 {
+		t.Errorf("%d frames dropped for want of a receiver", d)
+	}
+}

@@ -34,6 +34,8 @@ func FuzzDecodeEthernet(f *testing.F) {
 	})
 }
 
+// FuzzVLANPushPop runs every input twice, once without and once with
+// spare capacity (the in-place path), against the copying reference.
 func FuzzVLANPushPop(f *testing.F) {
 	base, _ := Serialize(
 		&Ethernet{Src: MustMAC("02:00:00:00:00:01"), Dst: MustMAC("02:00:00:00:00:02"), EtherType: EtherTypeIPv4},
@@ -43,20 +45,33 @@ func FuzzVLANPushPop(f *testing.F) {
 	f.Add(base, uint16(101))
 	f.Fuzz(func(t *testing.T, data []byte, vid uint16) {
 		vid &= 0x0fff
-		tagged, err := PushVLAN(data, EtherTypeDot1Q, vid)
-		if err != nil {
-			return // short frames legitimately fail
+		for _, room := range []int{0, Dot1QHeaderLen} {
+			in := withCap(data, room)
+			tagged, err := PushVLAN(in, EtherTypeDot1Q, vid)
+			if err != nil {
+				return // short frames legitimately fail
+			}
+			if !bytes.Equal(tagged, naivePushVLAN(data, EtherTypeDot1Q, vid)) {
+				t.Fatalf("push (room %d) differs from the reference", room)
+			}
+			got, ok := VLANID(tagged)
+			if !ok || got != vid {
+				t.Fatalf("VLANID after push: %d %v", got, ok)
+			}
+			popped, err := PopVLAN(tagged)
+			if err != nil {
+				t.Fatalf("pop after push: %v", err)
+			}
+			if !bytes.Equal(popped, data) {
+				t.Fatal("push+pop altered the frame")
+			}
 		}
-		got, ok := VLANID(tagged)
-		if !ok || got != vid {
-			t.Fatalf("VLANID after push: %d %v", got, ok)
-		}
-		popped, err := PopVLAN(tagged)
-		if err != nil {
-			t.Fatalf("pop after push: %v", err)
-		}
-		if !bytes.Equal(popped, data) {
-			t.Fatal("push+pop altered the frame")
+		if HasVLAN(data) && len(data) >= EthernetHeaderLen+Dot1QHeaderLen {
+			want := naivePopVLAN(data)
+			popped, err := PopVLAN(withCap(data, 0))
+			if err != nil || !bytes.Equal(popped, want) {
+				t.Fatalf("pop differs from the reference: %v", err)
+			}
 		}
 	})
 }

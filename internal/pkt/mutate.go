@@ -34,23 +34,41 @@ func VLANID(frame []byte) (uint16, bool) {
 	return binary.BigEndian.Uint16(frame[14:16]) & 0x0fff, true
 }
 
-// PushVLAN inserts a new outermost 802.1Q tag with the given VID
-// (priority 0) and returns the new frame. The input slice is not
-// modified; the result is a fresh allocation sized for the tag.
+// PushVLAN inserts a new outermost VLAN tag (the given TPID, VID,
+// priority 0) and returns the tagged frame. Like append, it takes
+// ownership of frame: when cap(frame) has room for the 4-byte tag the
+// frame's own storage is reused (the body moves up in place),
+// otherwise the result is a new frame of exactly len(frame)+4 bytes.
+// Either way the caller must continue with the result and no longer
+// use frame.
+//
+//harmless:hotpath
 func PushVLAN(frame []byte, tpid uint16, vid uint16) ([]byte, error) {
-	if len(frame) < EthernetHeaderLen {
+	n := len(frame)
+	if n < EthernetHeaderLen {
 		return nil, ErrTooShort
 	}
-	out := make([]byte, len(frame)+Dot1QHeaderLen)
-	copy(out[0:12], frame[0:12])
+	var out []byte
+	if cap(frame) >= n+Dot1QHeaderLen {
+		out = frame[:n+Dot1QHeaderLen]
+	} else {
+		out = make([]byte, n+Dot1QHeaderLen) //harmless:allow-alloc the frame has no spare capacity for the tag
+		copy(out[0:12], frame[0:12])
+	}
+	copy(out[16:], frame[12:n]) // old EtherType becomes the tag's inner type
 	binary.BigEndian.PutUint16(out[12:14], tpid)
 	binary.BigEndian.PutUint16(out[14:16], vid&0x0fff)
-	copy(out[16:], frame[12:]) // old EtherType becomes the tag's inner type
 	return out, nil
 }
 
-// PopVLAN removes the outermost VLAN tag and returns the new frame
-// (fresh allocation).
+// PopVLAN removes the outermost VLAN tag and returns the untagged
+// frame. Like append, it takes ownership of frame: the tail shifts
+// down over the tag in place and the result is frame[:len(frame)-4],
+// keeping the capacity so a later PushVLAN reuses the storage. The
+// caller must continue with the result and no longer use frame. On
+// error frame is left untouched.
+//
+//harmless:hotpath
 func PopVLAN(frame []byte) ([]byte, error) {
 	if len(frame) < EthernetHeaderLen+Dot1QHeaderLen {
 		return nil, ErrTooShort
@@ -58,10 +76,8 @@ func PopVLAN(frame []byte) ([]byte, error) {
 	if !HasVLAN(frame) {
 		return nil, ErrNoVLAN
 	}
-	out := make([]byte, len(frame)-Dot1QHeaderLen)
-	copy(out[0:12], frame[0:12])
-	copy(out[12:], frame[16:]) // inner EtherType slides into place
-	return out, nil
+	copy(frame[12:], frame[16:]) // inner EtherType slides into place
+	return frame[:len(frame)-Dot1QHeaderLen], nil
 }
 
 // SetVLANID rewrites the outermost tag's VID in place, preserving PCP

@@ -2,6 +2,7 @@ package pkt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -57,12 +58,38 @@ func TestPushPopVLANRoundTrip(t *testing.T) {
 	}
 }
 
+// naivePushVLAN and naivePopVLAN are the copying reference the
+// in-place VLAN ops must agree with.
+func naivePushVLAN(frame []byte, tpid, vid uint16) []byte {
+	out := append([]byte(nil), frame[:12]...)
+	out = binary.BigEndian.AppendUint16(out, tpid)
+	out = binary.BigEndian.AppendUint16(out, vid&0x0fff)
+	return append(out, frame[12:]...)
+}
+
+func naivePopVLAN(frame []byte) []byte {
+	return append(append([]byte(nil), frame[:12]...), frame[16:]...)
+}
+
+// withCap returns a copy of frame with capacity len(frame)+room.
+func withCap(frame []byte, room int) []byte {
+	return append(make([]byte, 0, len(frame)+room), frame...)
+}
+
+// TestPushVLANPropertyRoundTrip pushes onto frames with and without
+// spare capacity: the result must match the copying reference, reuse
+// the storage exactly when there is room for the tag, and pop back to
+// the original in place.
 func TestPushVLANPropertyRoundTrip(t *testing.T) {
 	orig := buildUDPFrame(t, []byte("data"))
-	f := func(vid uint16) bool {
+	f := func(vid uint16, room uint8) bool {
 		vid &= 0x0fff
-		tagged, err := PushVLAN(orig, EtherTypeDot1Q, vid)
-		if err != nil {
+		in := withCap(orig, int(room%9))
+		tagged, err := PushVLAN(in, EtherTypeDot1Q, vid)
+		if err != nil || !bytes.Equal(tagged, naivePushVLAN(orig, EtherTypeDot1Q, vid)) {
+			return false
+		}
+		if inPlace := &tagged[0] == &in[0]; inPlace != (cap(in) >= len(orig)+Dot1QHeaderLen) {
 			return false
 		}
 		got, ok := VLANID(tagged)
@@ -70,7 +97,7 @@ func TestPushVLANPropertyRoundTrip(t *testing.T) {
 			return false
 		}
 		popped, err := PopVLAN(tagged)
-		return err == nil && bytes.Equal(popped, orig)
+		return err == nil && bytes.Equal(popped, orig) && &popped[0] == &tagged[0] && cap(popped) == cap(tagged)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

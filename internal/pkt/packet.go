@@ -8,10 +8,19 @@ import (
 // Packet is a fully decoded frame: an ordered stack of layers plus the
 // raw bytes it was decoded from. Decoding is eager; a failed layer
 // terminates the stack and is reported by Err.
+//
+// The layers live inside the Packet — one value per layer type (the
+// Parser's set), the opaque payload and the stack's backing array —
+// so decoding a frame costs one allocation. Only a repeat beyond the
+// set (a third stacked VLAN tag) allocates its own layer.
 type Packet struct {
 	data   []byte
 	layers []Layer
 	err    error
+
+	set     Parser
+	payload Payload
+	stack   [8]Layer
 }
 
 // Decode parses data starting at the given first layer type. The
@@ -21,10 +30,18 @@ type Packet struct {
 // this is the gopacket NoCopy model).
 func Decode(data []byte, first LayerType) *Packet {
 	p := &Packet{data: data}
+	p.layers = p.stack[:0]
 	rest := data
 	next := first
+	vlans := 0
 	for next != LayerTypeNone && next != LayerTypePayload {
-		l := newLayer(next)
+		l := p.set.layer(next, vlans)
+		if next == LayerTypeDot1Q {
+			if l == nil {
+				l = &Dot1Q{}
+			}
+			vlans++
+		}
 		if l == nil {
 			break
 		}
@@ -40,38 +57,14 @@ func Decode(data []byte, first LayerType) *Packet {
 		}
 	}
 	if len(rest) > 0 {
-		pl := Payload(rest)
-		p.layers = append(p.layers, &pl)
+		p.payload = Payload(rest)
+		p.layers = append(p.layers, &p.payload)
 	}
 	return p
 }
 
 // DecodeEthernet decodes a frame starting from the Ethernet header.
 func DecodeEthernet(data []byte) *Packet { return Decode(data, LayerTypeEthernet) }
-
-func newLayer(t LayerType) Layer {
-	switch t {
-	case LayerTypeEthernet:
-		return &Ethernet{}
-	case LayerTypeDot1Q:
-		return &Dot1Q{}
-	case LayerTypeARP:
-		return &ARP{}
-	case LayerTypeIPv4:
-		return &IPv4Header{}
-	case LayerTypeIPv6:
-		return &IPv6Header{}
-	case LayerTypeTCP:
-		return &TCP{}
-	case LayerTypeUDP:
-		return &UDP{}
-	case LayerTypeICMPv4:
-		return &ICMPv4{}
-	case LayerTypeDNS:
-		return &DNS{}
-	}
-	return nil
-}
 
 // Data returns the raw bytes the packet was decoded from.
 func (p *Packet) Data() []byte { return p.data }

@@ -40,30 +40,12 @@ func (p *Parser) DecodeLayers(frame []byte, decoded *[]LayerType) error {
 	rest := p.Eth.LayerPayload()
 	vlanIdx := 0
 	for next != LayerTypeNone && next != LayerTypePayload {
-		var l Layer
-		switch next {
-		case LayerTypeDot1Q:
-			if vlanIdx >= len(p.Dot1Q) {
-				return nil // deeper QinQ nesting than supported: treat as payload
-			}
-			l = &p.Dot1Q[vlanIdx]
+		l := p.layer(next, vlanIdx)
+		if l == nil {
+			return nil // unknown type, or deeper QinQ nesting than supported: treat as payload
+		}
+		if next == LayerTypeDot1Q {
 			vlanIdx++
-		case LayerTypeARP:
-			l = &p.ARP
-		case LayerTypeIPv4:
-			l = &p.IPv4
-		case LayerTypeIPv6:
-			l = &p.IPv6
-		case LayerTypeTCP:
-			l = &p.TCP
-		case LayerTypeUDP:
-			l = &p.UDP
-		case LayerTypeICMPv4:
-			l = &p.ICMPv4
-		case LayerTypeDNS:
-			l = &p.DNS
-		default:
-			return nil
 		}
 		if err := l.DecodeFromBytes(rest); err != nil {
 			p.Truncated = true
@@ -82,3 +64,32 @@ func (p *Parser) DecodeLayers(frame []byte, decoded *[]LayerType) error {
 // OuterVLAN returns the outermost decoded VLAN tag. Only valid if
 // decoded contains LayerTypeDot1Q.
 func (p *Parser) OuterVLAN() *Dot1Q { return &p.Dot1Q[0] }
+
+// layer returns the parser's value for layer type t, given that vlans
+// VLAN tags were decoded before it. It returns nil for a type the
+// parser does not decode and for a VLAN tag beyond the two slots.
+func (p *Parser) layer(t LayerType, vlans int) Layer {
+	switch t {
+	case LayerTypeEthernet:
+		return &p.Eth
+	case LayerTypeDot1Q:
+		if vlans < len(p.Dot1Q) {
+			return &p.Dot1Q[vlans]
+		}
+	case LayerTypeARP:
+		return &p.ARP
+	case LayerTypeIPv4:
+		return &p.IPv4
+	case LayerTypeIPv6:
+		return &p.IPv6
+	case LayerTypeTCP:
+		return &p.TCP
+	case LayerTypeUDP:
+		return &p.UDP
+	case LayerTypeICMPv4:
+		return &p.ICMPv4
+	case LayerTypeDNS:
+		return &p.DNS
+	}
+	return nil
+}

@@ -408,18 +408,21 @@ func ownedCopy(frame []byte, canTransfer bool) []byte {
 	return cp
 }
 
-// flood replicates the frame to every port except the ingress.
+// flood replicates the frame to every port except the ingress: each
+// port but the last gets a copy, the last takes the frame.
 func (s *Switch) flood(inPort uint32, frame []byte, tx *txContext) {
-	s.portMu.RLock()
-	targets := make([]*swPort, 0, len(s.ports))
-	for no, p := range s.ports {
-		if no != inPort {
-			targets = append(targets, p)
+	var prev *swPort
+	for no, p := range s.portTable() {
+		if no == inPort {
+			continue
 		}
+		if prev != nil {
+			s.transmit(prev, ownedCopy(frame, false), tx)
+		}
+		prev = p
 	}
-	s.portMu.RUnlock()
-	for i, p := range targets {
-		s.transmit(p, ownedCopy(frame, i == len(targets)-1), tx)
+	if prev != nil {
+		s.transmit(prev, frame, tx)
 	}
 }
 

@@ -33,6 +33,7 @@ package softswitch
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,8 +69,11 @@ type Switch struct {
 	groups *flowtable.GroupTable
 	meters *flowtable.MeterTable
 
-	portMu sync.RWMutex
-	ports  map[uint32]*swPort
+	// ports is the port table, copy-on-write: AttachPort publishes a
+	// new map under portMu and every reader works on a snapshot
+	// without a lock.
+	portMu sync.Mutex
+	ports  atomic.Pointer[map[uint32]*swPort]
 
 	specialize bool
 	fast       []atomic.Pointer[fastState]
@@ -166,12 +170,12 @@ func New(name string, dpid uint64, opts ...Option) *Switch {
 		dpid:           dpid,
 		clock:          netem.RealClock{},
 		groups:         flowtable.NewGroupTable(),
-		ports:          make(map[uint32]*swPort),
 		buffers:        newBufferPool(256),
 		cacheSize:      DefaultMicroflowCacheSize,
 		megaflow:       true,
 		adaptiveBypass: true,
 	}
+	s.ports.Store(new(map[uint32]*swPort))
 	for _, o := range opts {
 		o(s)
 	}
@@ -287,7 +291,11 @@ func (s *Switch) CacheLen() int {
 func (s *Switch) AttachPort(no uint32, name string, be PortBackend) {
 	sp := &swPort{no: no, name: name, backend: be, hwAddr: portMAC(s.dpid, no)}
 	s.portMu.Lock()
-	s.ports[no] = sp
+	old := s.portTable()
+	ports := make(map[uint32]*swPort, len(old)+1)
+	maps.Copy(ports, old)
+	ports[no] = sp
+	s.ports.Store(&ports)
 	s.portMu.Unlock()
 	s.notifyPortStatus(openflow.PortReasonAdd, sp)
 }
@@ -315,19 +323,18 @@ func portMAC(dpid uint64, port uint32) pkt.MAC {
 	return pkt.MAC{0x02, byte(dpid >> 16), byte(dpid >> 8), byte(dpid), byte(port >> 8), byte(port)}
 }
 
+// portTable returns the current port table snapshot. Callers must not
+// modify it.
+func (s *Switch) portTable() map[uint32]*swPort { return *s.ports.Load() }
+
 // getPort looks up a datapath port.
-func (s *Switch) getPort(no uint32) *swPort {
-	s.portMu.RLock()
-	defer s.portMu.RUnlock()
-	return s.ports[no]
-}
+func (s *Switch) getPort(no uint32) *swPort { return s.portTable()[no] }
 
 // PortNumbers returns the attached port numbers in ascending order.
 func (s *Switch) PortNumbers() []uint32 {
-	s.portMu.RLock()
-	defer s.portMu.RUnlock()
-	out := make([]uint32, 0, len(s.ports))
-	for no := range s.ports {
+	ports := s.portTable()
+	out := make([]uint32, 0, len(ports))
+	for no := range ports {
 		out = append(out, no)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -344,10 +351,9 @@ func (s *Switch) PortCounters(no uint32) *stats.PortCounters {
 
 // PortDescs renders the OpenFlow port descriptions.
 func (s *Switch) PortDescs() []openflow.PortDesc {
-	s.portMu.RLock()
-	defer s.portMu.RUnlock()
-	out := make([]openflow.PortDesc, 0, len(s.ports))
-	for _, p := range s.ports {
+	ports := s.portTable()
+	out := make([]openflow.PortDesc, 0, len(ports))
+	for _, p := range ports {
 		out = append(out, openflow.PortDesc{
 			PortNo: p.no, HWAddr: p.hwAddr, Name: p.name,
 			State: openflow.PortStateLive, CurrSpeed: 1e6, MaxSpeed: 1e6,
@@ -508,10 +514,9 @@ func (s *Switch) FlowStats(tableID uint8) []openflow.FlowStats {
 
 // PortStats renders current port statistics.
 func (s *Switch) PortStats() []openflow.PortStats {
-	s.portMu.RLock()
-	defer s.portMu.RUnlock()
-	out := make([]openflow.PortStats, 0, len(s.ports))
-	for _, p := range s.ports {
+	ports := s.portTable()
+	out := make([]openflow.PortStats, 0, len(ports))
+	for _, p := range ports {
 		out = append(out, openflow.PortStats{
 			PortNo:    p.no,
 			RxPackets: p.counters.RxPackets.Load(),

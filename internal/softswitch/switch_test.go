@@ -1,8 +1,10 @@
 package softswitch
 
 import (
+	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -748,5 +750,59 @@ func TestFlowModPrerequisiteValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Errorf("valid prerequisite chain rejected: %v", err)
+	}
+}
+
+// TestAttachPortDuringFlood floods from several goroutines while more
+// ports are attached and the port table is read: flood works on a
+// snapshot of the copy-on-write table, so every frame still reaches
+// every port attached before the run. Meant for -race.
+func TestAttachPortDuringFlood(t *testing.T) {
+	sw := New("cow", 0x43)
+	var rx [4]atomic.Int64 // far ends of ports 2 and 3
+	for p := 2; p <= 3; p++ {
+		l := netem.NewLink(netem.LinkConfig{})
+		defer l.Close()
+		sw.AttachNetPort(uint32(p), fmt.Sprintf("p%d", p), l.A())
+		l.B().SetReceiver(func([]byte) { rx[p].Add(1) })
+	}
+	m := openflow.Match{}
+	m.WithInPort(1)
+	addFlow(t, sw, 0, 10, m, apply(out(openflow.PortFlood)))
+
+	const senders, extra = 2, 50
+	packets := 1000
+	if testing.Short() {
+		packets = 100
+	}
+	frame := udpFrame(t, macA, macB, ipA, ipB, 1000, 80, "flood")
+	var wg sync.WaitGroup
+	for w := 0; w < senders; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < packets; i++ {
+				sw.Receive(1, append([]byte(nil), frame...))
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < extra; i++ {
+			sw.AttachPort(uint32(10+i), fmt.Sprintf("x%d", i), NewRingBackend(4*senders*packets))
+			_ = sw.PortNumbers()
+			_ = sw.PortDescs()
+			_ = sw.PortStats()
+		}
+	}()
+	wg.Wait()
+	for p := 2; p <= 3; p++ {
+		if got := rx[p].Load(); got != int64(senders*packets) {
+			t.Errorf("port %d received %d frames, want %d", p, got, senders*packets)
+		}
+	}
+	if n := len(sw.PortNumbers()); n != 2+extra {
+		t.Errorf("%d ports attached, want %d", n, 2+extra)
 	}
 }
