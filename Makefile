@@ -35,11 +35,12 @@ lint:
 lint-baseline:
 	$(GO) run ./cmd/harmlesslint -write-baseline lint-baseline.json ./...
 
-# ~10s per openflow and pkt fuzz target (keep in sync with the lint
-# job in .github/workflows/ci.yml): catches wire decoders that panic on
-# near-valid frames, and in-place VLAN ops that disagree with their
-# copying reference, as soon as they land.
-FUZZ_PKGS := ./internal/openflow ./internal/pkt
+# ~10s per fuzz target (keep in sync with the lint job in
+# .github/workflows/ci.yml): catches wire decoders that panic on
+# near-valid frames, in-place VLAN ops that disagree with their copying
+# reference, an SNMP BER decoder that panics, and a scenario loader
+# that accepts what it cannot round-trip or run, as soon as they land.
+FUZZ_PKGS := ./internal/openflow ./internal/pkt ./internal/sim ./internal/snmp
 
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \
@@ -78,16 +79,18 @@ bench-baseline:
 		-note "make bench-baseline snapshot (-benchtime 1x -count 5); deltas vs different hardware are informational"
 
 # Mirror of the fleetsim-smoke CI job: 1040 switches and 1M flow
-# arrivals on virtual time, run twice; the digests must match bitwise
-# and the packet-mode failover scenario must pass its zero-loss checks.
+# arrivals on virtual time, run twice; both digests must match the one
+# recorded in examples/fleetsim/ci-smoke.digest bitwise, and the
+# packet-mode failover scenario must pass its zero-loss checks.
 fleetsim-smoke:
 	$(GO) build -o fleetsim ./cmd/fleetsim
 	./fleetsim -scenario examples/fleetsim/ci-smoke.json -wall-budget 55s -v -out verdict-a.json > /dev/null
 	./fleetsim -scenario examples/fleetsim/ci-smoke.json -wall-budget 55s -out verdict-b.json > /dev/null
-	@da="$$(grep -o '"digest": *"[0-9a-f]*"' verdict-a.json)"; \
-	db="$$(grep -o '"digest": *"[0-9a-f]*"' verdict-b.json)"; \
-	echo "run A: $$da"; echo "run B: $$db"; \
-	test -n "$$da" && test "$$da" = "$$db"
+	@da="$$(grep -o '"digest": *"[0-9a-f]*"' verdict-a.json | grep -o '[0-9a-f]\{64\}')"; \
+	db="$$(grep -o '"digest": *"[0-9a-f]*"' verdict-b.json | grep -o '[0-9a-f]\{64\}')"; \
+	want="$$(cat examples/fleetsim/ci-smoke.digest)"; \
+	echo "run A:    $$da"; echo "run B:    $$db"; echo "recorded: $$want"; \
+	test -n "$$da" && test "$$da" = "$$db" && test "$$da" = "$$want"
 	./fleetsim -scenario examples/fleetsim/packet-failover.json -wall-budget 55s > /dev/null
 
 # Mirror of the migrate-smoke CI job: the example three-wave campaign

@@ -16,8 +16,9 @@
 //   - the known zero-alloc entry points (Required below: the microflow
 //     cache probe/lookup, the ReceiveBatch dispatch, ObserveBatch, the
 //     Ring/TypedRing push/pop, the legacy bridge and netem delivery,
-//     the VLAN push/pop) MUST carry the annotation, so nobody quietly
-//     drops a hot path out of enforcement.
+//     the VLAN push/pop, the flow-mode fleet simulator's arrival walk)
+//     MUST carry the annotation, so nobody quietly drops a hot path
+//     out of enforcement.
 //
 // A cold branch inside a hot function — the megaflow install path on a
 // cache miss, say — is excused line by line with
@@ -81,6 +82,13 @@ var Required = map[string][]string{
 	"github.com/harmless-sdn/harmless/internal/pkt": {
 		"PushVLAN",
 		"PopVLAN",
+	},
+	"github.com/harmless-sdn/harmless/internal/sim": {
+		"FleetSim.arrive",
+		"FleetSim.route",
+		"FleetSim.firstBlock",
+		"FleetSim.deliver",
+		"FleetSim.chargePartial",
 	},
 	"hotpathalloc/required": {
 		"mustBeHot",

@@ -5,7 +5,10 @@
 // modes share the scenario format: flow mode walks generated fabrics
 // analytically and scales to thousands of switches and millions of
 // flow arrivals; packet mode instantiates real softswitch datapaths on
-// virtual netem links for small-topology cross-checks. Everything runs
+// virtual netem links for small-topology cross-checks. Flow mode needs
+// no timer heap: its only event sources, the static fault list and the
+// ordered arrival stream, are merged on a plain virtual clock in the
+// order the heap would fire them (see FleetSim.Run). Everything runs
 // on one goroutine from one seed, so a run's verdict digest is
 // byte-reproducible across machines, -race, and GOMAXPROCS settings.
 package sim
@@ -20,9 +23,11 @@ import (
 )
 
 // Engine couples the deterministic scheduler with the run's seeded
-// randomness. All simulation events — workload arrivals, link
-// deliveries, fault injections, timer-driven sweeps — are ManualClock
-// callbacks; Run drains them in virtual-time order.
+// randomness. In packet mode and in the migrate campaign executor all
+// simulation events — workload arrivals, link deliveries, fault
+// injections, timer-driven sweeps — are ManualClock callbacks, because
+// callbacks schedule more timers and need the heap's registration
+// order; Run drains them in virtual-time order.
 type Engine struct {
 	clock *netem.ManualClock
 	rng   *rand.Rand

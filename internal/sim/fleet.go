@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/harmless-sdn/harmless/internal/fabric"
@@ -109,14 +111,20 @@ func mix64(h, x uint64) uint64 {
 // per-packet state exists, so thousands of switches and millions of
 // flows fit one event loop; counters are exact by construction and the
 // conservation checks prove the bookkeeping stayed consistent.
+//
+// Flow mode has exactly two event sources and both arrive ordered: the
+// static fault list and the workload's pull stream, non-decreasing in
+// At. Run merges the two on a plain virtual clock, so an arrival costs
+// no allocation and no lock.
 type FleetSim struct {
-	eng  *Engine
-	topo *fabric.Topology
-	sc   Scenario
-	wl   fabric.Workload
+	topo     *fabric.Topology
+	sc       Scenario
+	wl       fabric.Workload
+	hashSeed uint64 // the run seed folded into the ECMP hash once
 
 	linkDown    []bool
-	linkFault   []int // fault index that downed the link, -1
+	linkFault   []int   // fault index that downed the link, -1
+	downLinks   []int32 // per node: incident links currently down
 	swDown      []bool
 	swFault     []int
 	downAt      []time.Duration // per fault: when it hit
@@ -146,14 +154,18 @@ func NewFleetSim(sc Scenario) (*FleetSim, error) {
 		return nil, err
 	}
 	s := &FleetSim{
-		eng:       NewEngine(sc.Seed),
 		topo:      topo,
 		sc:        sc,
 		wl:        wl,
+		hashSeed:  mix64(fnvOffset, uint64(sc.Seed)),
 		linkDown:  make([]bool, len(topo.Links)),
 		linkFault: make([]int, len(topo.Links)),
+		downLinks: make([]int32, len(topo.Nodes)),
 		swDown:    make([]bool, len(topo.Nodes)),
 		swFault:   make([]int, len(topo.Nodes)),
+		downAt:    make([]time.Duration, len(sc.Faults)),
+		reconvEnd: make([]time.Duration, len(sc.Faults)),
+		records:   make([]ConvergenceRecord, len(sc.Faults)),
 		swIn:      make([]uint64, len(topo.Nodes)),
 		swOut:     make([]uint64, len(topo.Nodes)),
 		swDrop:    make([]uint64, len(topo.Nodes)),
@@ -168,6 +180,9 @@ func NewFleetSim(sc Scenario) (*FleetSim, error) {
 	for i := range s.swFault {
 		s.swFault[i] = -1
 	}
+	for i, f := range sc.Faults {
+		s.records[i] = ConvergenceRecord{Kind: f.Kind, Node: f.Node, Peer: f.Peer, At: f.At}
+	}
 	s.res = Result{
 		Scenario: sc.Name,
 		Seed:     sc.Seed,
@@ -179,34 +194,62 @@ func NewFleetSim(sc Scenario) (*FleetSim, error) {
 	return s, nil
 }
 
-// Run executes the scenario and returns its verdict.
+// Run executes the scenario and returns its verdict. It merges the
+// fault schedule with the arrival stream in the order a timer heap
+// would fire them:
+//   - faults sharing an instant apply in file order;
+//   - a fault applies before an arrival at the same instant;
+//   - a past-due arrival fires at the current instant;
+//   - nothing after a nonzero Horizon applies, and the run then ends
+//     at exactly Horizon; otherwise it ends at the last event.
 func (s *FleetSim) Run(wallBudget time.Duration) (Result, error) {
 	wallStart := time.Now() //harmless:allow-wallclock wall budget and run-report timing, not simulation time
-	s.scheduleFaults()
-	s.scheduleNextArrival()
-	st, err := s.eng.Run(RunOpts{Until: s.sc.Horizon.Duration, WallBudget: wallBudget})
-	if err != nil {
-		return Result{}, err
+	faults := s.sc.Faults
+	order := make([]int, len(faults))
+	for i := range order {
+		order[i] = i
 	}
-	s.finish(st, wallStart)
-	return s.res, nil
+	// A negative offset fires at 0, as an already-due timer would.
+	slices.SortStableFunc(order, func(i, j int) int {
+		return cmp.Compare(max(faults[i].At.Duration, 0), max(faults[j].At.Duration, 0))
+	})
+	horizon := s.sc.Horizon.Duration
+	var now time.Duration
+	var events uint64
+	next, pending := s.wl.Next()
+	for fi := 0; ; {
+		isFault := fi < len(order) && (!pending || faults[order[fi]].At.Duration <= max(next.At, now))
+		var at time.Duration
+		switch {
+		case isFault:
+			at = max(faults[order[fi]].At.Duration, now)
+		case pending:
+			at = max(next.At, now)
+		default:
+			s.finish(events, now, wallStart)
+			return s.res, nil
+		}
+		if horizon > 0 && at > horizon {
+			s.finish(events, horizon, wallStart)
+			return s.res, nil
+		}
+		now = at
+		if isFault {
+			s.applyFault(now, order[fi])
+			fi++
+		} else {
+			s.arrive(now, next)
+			next, pending = s.wl.Next()
+		}
+		if events++; events&0xff == 0 && wallBudget > 0 && time.Since(wallStart) > wallBudget { //harmless:allow-wallclock wall budget check
+			return Result{}, fmt.Errorf("%w (%v)", ErrWallBudget, wallBudget)
+		}
+	}
 }
 
-// scheduleFaults registers every fault on the virtual timeline.
-func (s *FleetSim) scheduleFaults() {
-	s.downAt = make([]time.Duration, len(s.sc.Faults))
-	s.reconvEnd = make([]time.Duration, len(s.sc.Faults))
-	for i, f := range s.sc.Faults {
-		i, f := i, f
-		s.records = append(s.records, ConvergenceRecord{
-			Kind: f.Kind, Node: f.Node, Peer: f.Peer, At: f.At,
-		})
-		s.eng.At(f.At.Duration, func() { s.applyFault(i, f) })
-	}
-}
-
-func (s *FleetSim) applyFault(idx int, f FaultSpec) {
-	now := s.eng.Elapsed()
+// applyFault flips the fault's element at virtual instant now.
+func (s *FleetSim) applyFault(now time.Duration, idx int) {
+	f := s.sc.Faults[idx]
 	s.downAt[idx] = now
 	s.reconvEnd[idx] = now + s.sc.Reconvergence.Duration
 	s.eventHash = mix64(s.eventHash, uint64(now))
@@ -216,11 +259,21 @@ func (s *FleetSim) applyFault(idx int, f FaultSpec) {
 		a, _ := s.topo.NodeByName(f.Node)
 		b, _ := s.topo.NodeByName(f.Peer)
 		l := s.topo.LinkBetween(a, b)
-		if f.Kind == FaultLinkDown {
-			s.linkDown[l] = true
+		down := f.Kind == FaultLinkDown
+		if down != s.linkDown[l] {
+			// A real transition: a duplicate down (or up) leaves the
+			// endpoints' counts alone.
+			step := int32(1)
+			if !down {
+				step = -1
+			}
+			s.downLinks[a] += step
+			s.downLinks[b] += step
+		}
+		s.linkDown[l] = down
+		if down {
 			s.linkFault[l] = idx
 		} else {
-			s.linkDown[l] = false
 			s.linkFault[l] = -1
 		}
 	case FaultSwitchDown, FaultSwitchUp:
@@ -258,28 +311,16 @@ func faultCode(kind string) uint64 {
 	return 0
 }
 
-// scheduleNextArrival keeps exactly one pending workload arrival on
-// the timer heap (pull model): the heap stays tiny no matter how many
-// million arrivals the stream holds.
-func (s *FleetSim) scheduleNextArrival() {
-	a, ok := s.wl.Next()
-	if !ok {
-		return
-	}
-	s.eng.At(a.At, func() {
-		s.arrive(a)
-		s.scheduleNextArrival()
-	})
-}
-
 // flowHash spreads a flow id into the ECMP hash space.
 func (s *FleetSim) flowHash(id uint64) uint64 {
-	return mix64(mix64(fnvOffset, uint64(s.sc.Seed)), id)
+	return mix64(s.hashSeed, id)
 }
 
-// arrive processes one flow arrival: route, account, attribute loss.
-func (s *FleetSim) arrive(a fabric.FlowArrival) {
-	now := s.eng.Elapsed()
+// arrive processes one flow arrival at virtual instant now: route,
+// account, attribute loss.
+//
+//harmless:hotpath
+func (s *FleetSim) arrive(now time.Duration, a fabric.FlowArrival) {
 	pkts := uint64(a.Packets)
 	s.res.OfferedFlows++
 	s.res.OfferedPackets += pkts
@@ -307,6 +348,8 @@ const (
 // Before the reconvergence deadline of the fault that downed an
 // element, flows keep hitting their primary path and die there; after
 // it, alternates are tried in deterministic hash order.
+//
+//harmless:hotpath
 func (s *FleetSim) route(now time.Duration, src, dst int, h uint64, a fabric.FlowArrival, pkts uint64) (outcome uint64, pathLen int) {
 	choices := s.topo.RouteChoices()
 	for c := 0; ; c++ {
@@ -345,12 +388,17 @@ func (s *FleetSim) route(now time.Duration, src, dst int, h uint64, a fabric.Flo
 
 // firstBlock returns the index of the first unreachable element along
 // the path (the node a down link or switch prevents the flow from
-// leaving), plus the responsible fault, or (-1, -1) when clear.
+// leaving), plus the responsible fault, or (-1, -1) when clear. The
+// topology's port map is probed only at a node with a down link.
+//
+//harmless:hotpath
 func (s *FleetSim) firstBlock(path []int) (int, int) {
 	for i := 1; i < len(path); i++ {
 		prev, n := path[i-1], path[i]
-		if l := s.topo.LinkBetween(prev, n); l >= 0 && s.linkDown[l] {
-			return i - 1, s.linkFault[l]
+		if s.downLinks[prev] != 0 {
+			if l := s.topo.LinkBetween(prev, n); l >= 0 && s.linkDown[l] {
+				return i - 1, s.linkFault[l]
+			}
 		}
 		if s.swDown[n] {
 			return i - 1, s.swFault[n]
@@ -361,6 +409,8 @@ func (s *FleetSim) firstBlock(path []int) (int, int) {
 
 // chargePartial books switch in/out up to the blocking element and a
 // drop there, so per-switch conservation holds for lost flows too.
+//
+//harmless:hotpath
 func (s *FleetSim) chargePartial(path []int, blockIdx int, pkts uint64) {
 	for i := 1; i <= blockIdx; i++ {
 		if i == blockIdx {
@@ -379,6 +429,8 @@ func (s *FleetSim) chargePartial(path []int, blockIdx int, pkts uint64) {
 }
 
 // deliver books a successful end-to-end walk.
+//
+//harmless:hotpath
 func (s *FleetSim) deliver(path []int, a fabric.FlowArrival, pkts uint64, now time.Duration, rerouted bool) {
 	for i := 1; i < len(path)-1; i++ {
 		s.swIn[path[i]] += pkts
@@ -415,10 +467,10 @@ func (s *FleetSim) lose(now time.Duration, faultIdx int, pkts uint64) {
 }
 
 // finish runs the conservation checks and seals the verdict.
-func (s *FleetSim) finish(st RunStats, wallStart time.Time) {
+func (s *FleetSim) finish(events uint64, virtualEnd time.Duration, wallStart time.Time) {
 	r := &s.res
-	r.Events = st.Events
-	r.VirtualEnd = Duration{st.VirtualEnd}
+	r.Events = events
+	r.VirtualEnd = Duration{virtualEnd}
 	if r.OfferedFlows > 0 {
 		r.LossRate = float64(r.LostFlows) / float64(r.OfferedFlows)
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -50,6 +51,36 @@ type TopologySpec struct {
 	Spines       int `json:"spines,omitempty"`
 	Leaves       int `json:"leaves,omitempty"`
 	HostsPerLeaf int `json:"hostsPerLeaf,omitempty"`
+}
+
+// maxTopologySize bounds the nodes plus links a scenario may ask the
+// generator for: about 20x the 1040-switch CI fabric, and small enough
+// that a hostile document cannot exhaust memory at load time.
+const maxTopologySize = 1 << 20
+
+// maxHeavyHitterPool bounds the heavy-hitter elephant and mouse
+// counts, whose pair pools the workload allocates up front.
+const maxHeavyHitterPool = 1 << 16
+
+// size returns the nodes plus links the spec generates, or
+// math.MaxInt64 when one dimension alone exceeds maxTopologySize.
+// Specs Build rejects may return anything.
+func (t TopologySpec) size() int64 {
+	switch t.Kind {
+	case "fattree":
+		k := int64(t.K)
+		if k > maxTopologySize {
+			return math.MaxInt64
+		}
+		return 5*k*k/4 + k*k*k/4 + 3*k*k*k/4
+	case "leafspine":
+		s, l, h := int64(t.Spines), int64(t.Leaves), int64(t.HostsPerLeaf)
+		if s > maxTopologySize || l > maxTopologySize || h > maxTopologySize {
+			return math.MaxInt64
+		}
+		return s + l + l*h + s*l + l*h
+	}
+	return 0
 }
 
 // Build generates the topology.
@@ -173,6 +204,13 @@ func (s Scenario) Validate() error {
 	if s.Mode != "" && s.Mode != "flow" && s.Mode != "packet" {
 		return fmt.Errorf("sim: mode %q (want flow or packet)", s.Mode)
 	}
+	if n := s.Topology.size(); n > maxTopologySize {
+		return fmt.Errorf("sim: topology of %d nodes and links exceeds the limit of %d", n, maxTopologySize)
+	}
+	if w := s.Workload; w.Kind == "heavyhitter" && (w.Elephants > maxHeavyHitterPool || w.Mice > maxHeavyHitterPool) {
+		return fmt.Errorf("sim: heavy-hitter pools of %d elephants / %d mice exceed %d",
+			w.Elephants, w.Mice, maxHeavyHitterPool)
+	}
 	topo, err := s.Topology.Build()
 	if err != nil {
 		return err
@@ -215,6 +253,9 @@ func ParseScenario(data []byte) (Scenario, error) {
 	var s Scenario
 	if err := json.Unmarshal(data, &s); err != nil {
 		return Scenario{}, fmt.Errorf("sim: scenario parse: %w", err)
+	}
+	if len(s.Faults) == 0 {
+		s.Faults = nil // "faults": [] and no faults are the same scenario
 	}
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
