@@ -10,7 +10,7 @@ BENCH_PKGS    := ./internal/softswitch ./internal/softswitch/runtime
 
 SHELL := /bin/bash -o pipefail
 
-.PHONY: all lint lint-baseline fuzz-smoke test bench bench-baseline fleetsim-smoke migrate-smoke ci
+.PHONY: all lint lint-baseline fuzz-smoke test bench bench-baseline chain-budget fleetsim-smoke migrate-smoke ci
 
 all: ci
 
@@ -69,6 +69,24 @@ bench:
 	$(GO) run ./cmd/benchdiff -bench bench-pairs.txt -check -pair-check
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... 2>&1 | tee bench-full.txt
 	$(GO) run ./cmd/benchdiff -bench bench-full.txt -check > /dev/null
+	$(MAKE) chain-budget
+
+# The chain hit path's budget, from one traced 5 s perfbench run of
+# chain-fastpath: fails when the benchmark exits nonzero (a gate
+# failed, or it could not run), and reports the per-frame allocations,
+# the GC cycles per million frames and the chain/bare-softswitch ratio
+# to $GITHUB_STEP_SUMMARY (stdout outside CI).
+CHAIN_BUDGET_METRICS := alloc.objects_per_frame alloc.bytes_per_frame gc.cycles_per_mframe softswitch.chain_over_bare
+
+chain-budget:
+	bash perfbench/run.sh --workload chain-fastpath --seed 1 --seconds 5 --trace 1 > chain-budget.json
+	@line="$$(tail -n 1 chain-budget.json)"; \
+	{ echo "## Chain hit-path budget (chain-fastpath, traced, 5 s)"; echo; \
+	  echo "| metric | value |"; echo "|---|---|"; \
+	  for m in $(CHAIN_BUDGET_METRICS); do \
+		v="$$(echo "$$line" | grep -o "\"$$m\": *{\"value\": *[^,}]*" | sed 's/.*: *//')"; \
+		echo "| $$m | $${v:-missing} |"; \
+	  done; } >> "$${GITHUB_STEP_SUMMARY:-/dev/stdout}"
 
 # Refresh BENCH_BASELINE.json on the current machine (commit the
 # result deliberately). Same -benchtime 1x regime as the smoke run so

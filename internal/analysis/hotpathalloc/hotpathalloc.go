@@ -16,7 +16,8 @@
 //   - the known zero-alloc entry points (Required below: the microflow
 //     cache probe/lookup, the ReceiveBatch dispatch, ObserveBatch, the
 //     Ring/TypedRing push/pop, the legacy bridge and netem delivery,
-//     the VLAN push/pop, the flow-mode fleet simulator's arrival walk)
+//     the VLAN push/pop, the table credit of a cache hit, a host's
+//     frame input, the flow-mode fleet simulator's arrival walk)
 //     MUST carry the annotation, so nobody quietly drops a hot path
 //     out of enforcement.
 //
@@ -62,6 +63,12 @@ var Required = map[string][]string{
 		"Table.Observe",
 		"Table.ObserveBatch",
 		"Table.observeLocked",
+	},
+	"github.com/harmless-sdn/harmless/internal/fabric": {
+		"Host.receive",
+	},
+	"github.com/harmless-sdn/harmless/internal/flowtable": {
+		"Table.CreditHit",
 	},
 	"github.com/harmless-sdn/harmless/internal/dataplane": {
 		"TypedRing.Push",

@@ -111,12 +111,26 @@ func (h *Host) receiveBatch(frames [][]byte) {
 	}
 }
 
-// receive is the host's frame input.
+// packetPool recycles the Packets hosts decode received frames into.
+// A pool rather than one Packet per host: on synchronous links a reply
+// sent from inside receive (a SYN-ACK's ACK, a ping's echo reply) can
+// come straight back into the same host's receive while the outer call
+// still uses its Packet, and several goroutines may send into one host
+// at once.
+var packetPool = sync.Pool{New: func() any { return new(pkt.Packet) }}
+
+// receive is the host's frame input. It decodes into a pooled Packet,
+// which nothing the stack keeps may point into once it returns: the
+// handlers copy what they keep.
+//
+//harmless:hotpath
 func (h *Host) receive(frame []byte) {
 	h.mu.Lock()
 	h.rxFrames++
 	h.mu.Unlock()
-	p := pkt.DecodeEthernet(frame)
+	p := packetPool.Get().(*pkt.Packet)
+	defer packetPool.Put(p)
+	pkt.DecodeInto(p, frame, pkt.LayerTypeEthernet)
 	eth := p.Ethernet()
 	if eth == nil {
 		return
@@ -283,13 +297,16 @@ func (h *Host) Ping(dst pkt.IPv4, timeout time.Duration) error {
 
 func (h *Host) handleUDP(p *pkt.Packet, ip *pkt.IPv4Header) {
 	udp := p.UDP()
+	h.mu.Lock()
+	handler := h.udpHandlers[udp.DstPort]
+	h.mu.Unlock()
+	if handler == nil && len(h.udpQueue) == cap(h.udpQueue) {
+		return // queue full: drop, like a real socket buffer, before copying
+	}
 	msg := UDPMessage{
 		SrcIP: ip.Src, SrcPort: udp.SrcPort, DstPort: udp.DstPort,
 		Payload: append([]byte{}, udp.LayerPayload()...),
 	}
-	h.mu.Lock()
-	handler := h.udpHandlers[udp.DstPort]
-	h.mu.Unlock()
 	if handler != nil {
 		if resp := handler(msg); resp != nil {
 			_ = h.sendUDPTo(p.Ethernet().Src, ip.Src, udp.DstPort, udp.SrcPort, resp)
@@ -298,7 +315,7 @@ func (h *Host) handleUDP(p *pkt.Packet, ip *pkt.IPv4Header) {
 	}
 	select {
 	case h.udpQueue <- msg:
-	default: // queue full: drop, like a real socket buffer
+	default: // filled up since the check: drop all the same
 	}
 }
 

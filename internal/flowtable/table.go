@@ -52,11 +52,36 @@ func (e *Entry) Bytes() uint64 { return e.bytes.Load() }
 // Created returns the installation time.
 func (e *Entry) Created() time.Time { return e.created }
 
-// Hit accounts one matched packet of n bytes.
-func (e *Entry) Hit(n int, now time.Time) {
+// Hit accounts one matched packet of n bytes. Only an entry that can
+// idle out records when it was hit, so a hit on a permanent entry
+// reads no clock.
+func (e *Entry) Hit(n int, now *Stamp) {
 	e.packets.Add(1)
 	e.bytes.Add(uint64(n))
-	e.lastUsed.Store(now.UnixNano())
+	if e.IdleTimeout > 0 {
+		e.lastUsed.Store(now.UnixNano())
+	}
+}
+
+// Stamp is one lazily read clock value shared by the entry hits of a
+// dispatch, the OVS time_msec idiom: the first hit that needs the time
+// reads the clock and every later one reuses that reading. A hit on an
+// entry without an idle timeout never asks for it.
+type Stamp struct {
+	clock netem.Clock
+	ns    int64
+	read  bool
+}
+
+// Reset forgets any reading and binds the stamp to clock.
+func (s *Stamp) Reset(clock netem.Clock) { *s = Stamp{clock: clock} }
+
+// UnixNano returns the stamp's time, reading the clock on first use.
+func (s *Stamp) UnixNano() int64 {
+	if !s.read {
+		s.ns, s.read = s.clock.Now().UnixNano(), true
+	}
+	return s.ns
 }
 
 // expired reports whether the entry has timed out, and the reason.
@@ -197,6 +222,13 @@ func (t *Table) ConsultMask() MatchMask {
 // counters (nil on table miss). size is the frame length for byte
 // counters.
 func (t *Table) Lookup(k *pkt.Key, size int) *Entry {
+	now := Stamp{clock: t.clock}
+	return t.LookupAt(k, size, &now)
+}
+
+// LookupAt is Lookup with the hit time taken from now, which a
+// dispatch shares across every table it consults.
+func (t *Table) LookupAt(k *pkt.Key, size int, now *Stamp) *Entry {
 	t.lookups.Add(1)
 	t.mu.RLock()
 	var hit *Entry
@@ -209,7 +241,7 @@ func (t *Table) Lookup(k *pkt.Key, size int) *Entry {
 	t.mu.RUnlock()
 	if hit != nil {
 		t.matched.Add(1)
-		hit.Hit(size, t.clock.Now())
+		hit.Hit(size, now)
 	}
 	return hit
 }
@@ -217,11 +249,13 @@ func (t *Table) Lookup(k *pkt.Key, size int) *Entry {
 // CreditHit accounts a cache-hit forwarding decision against the table
 // and entry counters exactly as the Lookup that produced the cached
 // decision would have: one lookup, one match, one entry hit (which
-// also refreshes the idle-timeout clock).
-func (t *Table) CreditHit(e *Entry, size int) {
+// also refreshes an idle-timeout entry's last use, at now).
+//
+//harmless:hotpath
+func (t *Table) CreditHit(e *Entry, size int, now *Stamp) {
 	t.lookups.Add(1)
 	t.matched.Add(1)
-	e.Hit(size, t.clock.Now())
+	e.Hit(size, now)
 }
 
 // Add installs a flow per OFPFC_ADD semantics: an entry with identical

@@ -11,8 +11,9 @@ import (
 //
 // The layers live inside the Packet — one value per layer type (the
 // Parser's set), the opaque payload and the stack's backing array —
-// so decoding a frame costs one allocation. Only a repeat beyond the
-// set (a third stacked VLAN tag) allocates its own layer.
+// so decoding a frame costs one allocation, and none when DecodeInto
+// reuses a Packet. Only a repeat beyond the set (a third stacked VLAN
+// tag) allocates its own layer.
 type Packet struct {
 	data   []byte
 	layers []Layer
@@ -29,7 +30,19 @@ type Packet struct {
 // in use (the dataplane hands frames over by ownership transfer, so
 // this is the gopacket NoCopy model).
 func Decode(data []byte, first LayerType) *Packet {
-	p := &Packet{data: data}
+	p := new(Packet)
+	DecodeInto(p, data, first)
+	return p
+}
+
+// DecodeInto is Decode into caller-owned storage: it replaces whatever
+// p held with the decoding of data, leaving p equal to what Decode
+// would return. A caller that recycles Packets (a sync.Pool, say)
+// decodes without allocating, as long as the frame has no third
+// stacked VLAN tag. Layers, payload and errors taken from p before the
+// call are invalid after it.
+func DecodeInto(p *Packet, data []byte, first LayerType) {
+	*p = Packet{data: data}
 	p.layers = p.stack[:0]
 	rest := data
 	next := first
@@ -47,20 +60,19 @@ func Decode(data []byte, first LayerType) *Packet {
 		}
 		if err := l.DecodeFromBytes(rest); err != nil {
 			p.err = err
-			return p
+			return
 		}
 		p.layers = append(p.layers, l)
 		rest = l.LayerPayload()
 		next = l.NextLayerType()
 		if len(rest) == 0 {
-			return p
+			return
 		}
 	}
 	if len(rest) > 0 {
 		p.payload = Payload(rest)
 		p.layers = append(p.layers, &p.payload)
 	}
-	return p
 }
 
 // DecodeEthernet decodes a frame starting from the Ethernet header.

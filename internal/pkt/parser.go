@@ -4,8 +4,9 @@ package pkt
 // gopacket's DecodingLayerParser: the caller owns one Parser (it is NOT
 // safe for concurrent use) and repeatedly calls DecodeLayers; the
 // parser decodes into its own preallocated layer structs and reports
-// which layers were found. Hosts and the capture tooling use it to
-// avoid per-frame allocations on busy paths.
+// which layers were found. Every Packet embeds one as its per-type
+// layer set, which Decode and DecodeInto fill; a standalone Parser
+// suits a caller that wants only the list of layer types found.
 type Parser struct {
 	Eth    Ethernet
 	Dot1Q  [2]Dot1Q // outer, inner (QinQ)

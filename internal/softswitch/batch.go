@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"github.com/harmless-sdn/harmless/internal/dataplane"
+	"github.com/harmless-sdn/harmless/internal/flowtable"
 	"github.com/harmless-sdn/harmless/internal/pkt"
 	"github.com/harmless-sdn/harmless/internal/telemetry"
 )
@@ -45,12 +46,15 @@ type patchWork struct {
 // txContext coalesces one batch's egress per port and carries the
 // iterative patch-delivery worklist. ports/frames are parallel;
 // flushed slot buffers are kept (or returned via recycle) so steady
-// state dispatch does not allocate.
+// state dispatch does not allocate. now is the batch's one lazily read
+// timestamp: every flow-entry hit of the batch shares it, and so does
+// the telemetry observation.
 type txContext struct {
 	ports  []*swPort
 	frames [][][]byte
 	spare  [][][]byte // recycled slot buffers
 	work   []patchWork
+	now    flowtable.Stamp
 }
 
 // add coalesces one frame onto the egress vector of port p.
@@ -236,10 +240,11 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 		p.counters.RxPackets.Add(uint64(len(frames)))
 		p.counters.RxBytes.Add(bytes)
 	}
+	st.tx.now.Reset(s.clock)
 	tel := s.telemetry.Load()
 	var now int64
 	if tel != nil {
-		now = s.clock.Now().UnixNano()
+		now = st.tx.now.UnixNano()
 	}
 	// Pin the entry pool for the dispatch's duration: cache entries
 	// held in st.mfs (or in locals of classifyAndRun) cannot be

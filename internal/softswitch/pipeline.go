@@ -25,7 +25,7 @@ func (s *Switch) replayMicroflow(mf *CacheEntry, inPort uint32, frame []byte, tx
 		op := &mf.ops[i]
 		switch op.kind {
 		case opCredit:
-			op.table.CreditHit(op.entry, len(frame))
+			op.table.CreditHit(op.entry, len(frame), &tx.now)
 			continue
 		case opMeter:
 			if !s.meters.Pass(op.meterID, len(frame)) {
@@ -76,7 +76,7 @@ func (s *Switch) runPipelineKeyed(key *pkt.Key, inPort uint32, frame []byte, sta
 			rev = s.tables[tableID].Version()
 			rec.mask = rec.mask.Union(s.tables[tableID].ConsultMask())
 		}
-		entry := s.lookup(tableID, key, len(frame))
+		entry := s.lookup(tableID, key, len(frame), &tx.now)
 		if entry == nil {
 			// OpenFlow 1.3 table-miss without a miss entry: drop. Not
 			// cached — a later flow-add must see the packet's key again.
@@ -156,11 +156,12 @@ func (s *Switch) runPipelineKeyed(key *pkt.Key, inPort uint32, frame []byte, sta
 }
 
 // lookup consults the fast path when specialization is enabled,
-// falling back to (and recompiling from) the generic table.
-func (s *Switch) lookup(tableID uint8, key *pkt.Key, size int) *flowtable.Entry {
+// falling back to (and recompiling from) the generic table. A hit is
+// stamped with now.
+func (s *Switch) lookup(tableID uint8, key *pkt.Key, size int, now *flowtable.Stamp) *flowtable.Entry {
 	t := s.tables[tableID]
 	if !s.specialize {
-		return t.Lookup(key, size)
+		return t.LookupAt(key, size, now)
 	}
 	st := s.fast[tableID].Load()
 	if st == nil || (st.fp == nil && st.failedVersion != t.Version()+1) || (st.fp != nil && !st.fp.Valid(t)) {
@@ -174,11 +175,11 @@ func (s *Switch) lookup(tableID uint8, key *pkt.Key, size int) *flowtable.Entry 
 		s.fast[tableID].Store(st)
 	}
 	if st.fp == nil {
-		return t.Lookup(key, size)
+		return t.LookupAt(key, size, now)
 	}
 	e := st.fp.Lookup(key)
 	if e != nil {
-		e.Hit(size, s.clock.Now())
+		e.Hit(size, now)
 	}
 	return e
 }
@@ -481,6 +482,7 @@ func (s *Switch) InjectPacketOut(po *openflow.PacketOut) {
 		return
 	}
 	st := dispatchPool.Get().(*dispatchState)
+	st.tx.now.Reset(s.clock)
 	if f, res := s.applyActions(po.Actions, po.InPort, frame, 0, nil, &st.tx); res == applyRetained && f != nil {
 		s.drops.Inc() // no output action: drop
 	}

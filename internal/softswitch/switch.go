@@ -65,9 +65,10 @@ type Switch struct {
 	dpid  uint64
 	clock netem.Clock
 
-	tables []*flowtable.Table
-	groups *flowtable.GroupTable
-	meters *flowtable.MeterTable
+	tables    []*flowtable.Table
+	numTables int // set by WithNumTables; 0 = DefaultNumTables
+	groups    *flowtable.GroupTable
+	meters    *flowtable.MeterTable
 
 	// ports is the port table, copy-on-write: AttachPort publishes a
 	// new map under portMu and every reader works on a snapshot
@@ -154,14 +155,7 @@ func WithTelemetry(t *telemetry.Table) Option {
 }
 
 // WithNumTables sets the pipeline depth.
-func WithNumTables(n int) Option {
-	return func(s *Switch) {
-		s.tables = nil
-		for i := 0; i < n; i++ {
-			s.tables = append(s.tables, flowtable.NewTable(uint8(i), s.clock))
-		}
-	}
-}
+func WithNumTables(n int) Option { return func(s *Switch) { s.numTables = n } }
 
 // New creates a switch with the given datapath id.
 func New(name string, dpid uint64, opts ...Option) *Switch {
@@ -179,10 +173,14 @@ func New(name string, dpid uint64, opts ...Option) *Switch {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.tables == nil {
-		for i := 0; i < DefaultNumTables; i++ {
-			s.tables = append(s.tables, flowtable.NewTable(uint8(i), s.clock))
-		}
+	// The tables are built after every option so they run on the
+	// switch's clock whatever the option order: a dispatch stamps their
+	// entries' hits with one reading of that clock.
+	if s.numTables <= 0 {
+		s.numTables = DefaultNumTables
+	}
+	for i := 0; i < s.numTables; i++ {
+		s.tables = append(s.tables, flowtable.NewTable(uint8(i), s.clock))
 	}
 	s.meters = flowtable.NewMeterTable(s.clock)
 	s.fast = make([]atomic.Pointer[fastState], len(s.tables))
